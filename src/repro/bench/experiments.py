@@ -80,13 +80,7 @@ def _drive(cluster: Cluster, proc, horizon: float = 36000.0) -> None:
     traffic), so draining the event queue would never terminate — instead
     we stop the moment the experiment driver completes.
     """
-    sim = cluster.sim
-    while not proc.processed:
-        if sim.peek() > horizon:
-            raise RuntimeError(
-                f"experiment still running at t={sim.now:.1f}s (horizon {horizon}s)"
-            )
-        sim.step()
+    cluster.sim.run_until(proc, horizon)
 
 
 # ---------------------------------------------------------------------------

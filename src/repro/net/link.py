@@ -94,11 +94,14 @@ class Channel:
     def tx_seconds(self, wire_bytes: int) -> float:
         return wire_bytes * 8.0 / self.rate_bps
 
-    def transmit(self, frame: Frame, extra_start_delay: float = 0.0) -> bool:
+    def transmit(self, frame: Frame, extra_start_delay: float = 0.0,
+                 wire: Optional[int] = None) -> bool:
         """Enqueue ``frame``; returns ``False`` on drop.
 
         ``extra_start_delay`` delays the earliest start (used by host NICs
         for the initialisation term of Eq. 3.6 without blocking the caller).
+        ``wire`` is ``frame.wire_at(self.mtu)`` when the caller already
+        knows it (NICs compute it once per hop); ``None`` computes it here.
         """
         now = self.sim.now
         if not self.up:
@@ -111,7 +114,8 @@ class Channel:
             if self.loss_rng.random() < self.loss_rate:
                 self.drops += 1
                 return False
-        wire = frame.wire_at(self.mtu)
+        if wire is None:
+            wire = frame.wire_at(self.mtu)
         start = max(now + extra_start_delay, self.next_free)
         if self.shaper is not None:
             start = self.shaper.reserve(wire, start)

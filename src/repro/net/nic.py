@@ -82,19 +82,21 @@ class NIC:
 
         Returns ``False`` if every frame was dropped at the channel.
         """
+        mtu = self.mtu
         frames = self._frames_for(dgram)
-        first_wire = frames[0].wire_at(self.mtu)
-        delivered_any = False
-        for i, frame in enumerate(frames):
-            extra = self._init_delay(first_wire) if i == 0 else 0.0
-            delivered_any |= self._transmit(frame, extra)
+        first = frames[0]
+        wire = first.wire_at(mtu)
+        delivered_any = self._transmit(first, wire, self._init_delay(wire))
+        for frame in frames[1:]:
+            delivered_any |= self._transmit(frame, frame.wire_at(mtu), 0.0)
         return delivered_any
 
     def forward_frame(self, frame: Frame) -> bool:
         """Forward a transit frame (router path: no init term)."""
+        mtu = self.mtu
         delivered_any = False
-        for piece in frame.split(self.mtu):
-            delivered_any |= self._transmit(piece, 0.0)
+        for piece in frame.split(mtu):
+            delivered_any |= self._transmit(piece, piece.wire_at(mtu), 0.0)
         return delivered_any
 
     def _frames_for(self, dgram: Datagram) -> list[Frame]:
@@ -114,11 +116,12 @@ class NIC:
                 break
         return frames
 
-    def _transmit(self, frame: Frame, extra: float) -> bool:
-        ok = self.channel.transmit(frame, extra_start_delay=extra)
+    def _transmit(self, frame: Frame, wire: int, extra: float) -> bool:
+        """Hand ``frame`` (``wire`` bytes at this MTU) to the channel."""
+        ok = self.channel.transmit(frame, extra_start_delay=extra, wire=wire)
         if ok:
             self.tx_packets += 1
-            self.tx_bytes += frame.wire_at(self.mtu)
+            self.tx_bytes += wire
         else:
             self.tx_drops += 1
         return ok

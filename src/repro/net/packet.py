@@ -29,6 +29,7 @@ __all__ = [
     "PROTO_TCP",
     "PROTO_ICMP",
     "fragment_sizes",
+    "wire_bytes",
 ]
 
 IP_HEADER = 20
@@ -66,7 +67,16 @@ def fragment_sizes(transport_bytes: int, mtu: int) -> list[int]:
     return sizes
 
 
-@dataclass
+def wire_bytes(transport_bytes: int, mtu: int) -> int:
+    """``sum(fragment_sizes(transport_bytes, mtu))`` in closed form: the
+    transport bytes plus one ``IP_HEADER`` per fragment."""
+    per_frag = mtu - IP_HEADER
+    if per_frag <= 0:
+        raise ValueError(f"MTU {mtu} leaves no room for IP payload")
+    return transport_bytes + max(1, -(-transport_bytes // per_frag)) * IP_HEADER
+
+
+@dataclass(slots=True)
 class Datagram:
     """One transport PDU travelling through the simulated network."""
 
@@ -101,7 +111,7 @@ class Datagram:
 
     def wire_size(self, mtu: int) -> int:
         """Total bytes on the wire after fragmentation at ``mtu``."""
-        return sum(fragment_sizes(self.transport_bytes, mtu))
+        return wire_bytes(self.transport_bytes, mtu)
 
     def first_fragment_size(self, mtu: int) -> int:
         """Wire size of the first fragment — drives the NIC init term."""
@@ -124,7 +134,7 @@ class Datagram:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """The unit a channel transmits and a router forwards.
 
@@ -153,7 +163,7 @@ class Frame:
     def wire_at(self, mtu: int) -> int:
         """Bytes this frame occupies on a wire with the given MTU."""
         if self.burst:
-            return sum(fragment_sizes(self.payload_bytes, mtu))
+            return wire_bytes(self.payload_bytes, mtu)
         return self.payload_bytes + IP_HEADER
 
     def split(self, mtu: int) -> list["Frame"]:

@@ -383,17 +383,21 @@ class TcpConnection:
     def _handle_ack(self, ackno: int) -> None:
         if ackno <= self._base:
             return
-        # RTT sample from the highest newly-acked, never-retransmitted segment
+        # _pump inserts seqs >= _base in ascending order, so the newly-acked
+        # segments are a prefix of _segments.  RTT sample from the highest
+        # newly-acked, never-retransmitted segment.
+        acked = []
         sample_seq = None
         for seq in self._segments:
-            if self._base <= seq < ackno and seq not in self._retransmitted:
-                if sample_seq is None or seq > sample_seq:
-                    sample_seq = seq
+            if seq >= ackno:
+                break
+            acked.append(seq)
+            if seq not in self._retransmitted:
+                sample_seq = seq
         if sample_seq is not None and sample_seq in self._send_times:
             self._rtt_sample(self.sim.now - self._send_times[sample_seq])
-        for seq in [s for s in self._segments if s < ackno]:
-            self.bytes_acked += self._segments[seq][0]
-            del self._segments[seq]
+        for seq in acked:
+            self.bytes_acked += self._segments.pop(seq)[0]
             self._send_times.pop(seq, None)
             self._retransmitted.discard(seq)
         self._base = ackno

@@ -556,6 +556,24 @@ class Simulator:
         if not event._ok:
             raise event._value
 
+    def run_until(self, event: Event, horizon: float = float("inf")) -> None:
+        """Call :meth:`step` until ``event`` has been processed.
+
+        Worlds with immortal daemons never drain, so a driver uses this to
+        stop the moment its own process completes.  Raises
+        :class:`RuntimeError` if the next event lies past ``horizon``, or
+        the queue drains, before ``event`` is processed.
+        """
+        queue = self._queue
+        step = self.step
+        while event._state != PROCESSED:
+            if not queue or queue[0][0] > horizon:
+                raise RuntimeError(
+                    f"experiment still running at t={self._now:.1f}s "
+                    f"(horizon {horizon}s)"
+                )
+            step()
+
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``.
 

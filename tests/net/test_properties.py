@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.net import Datagram, IP_HEADER, PROTO_TCP, PROTO_UDP, TokenBucket, fragment_sizes
-from repro.net.packet import Frame
+from repro.net.packet import UDP_HEADER, Frame, wire_bytes
 
 sizes = st.integers(min_value=1, max_value=100_000)
 mtus = st.integers(min_value=100, max_value=9000)
@@ -58,6 +59,59 @@ class TestFrameSplitProperties:
                      size=payload)
         f = Frame(d, d.transport_bytes, first=True, burst=True)
         assert f.wire_at(mtu) == d.wire_size(mtu)
+
+
+class TestWireGeometry:
+    """The closed-form wire size equals the sum over the fragments."""
+
+    MTUS = (29, 576, 1500, 9000)
+
+    @staticmethod
+    def _nic(mtu):
+        from repro.net import Network
+        from repro.sim import Simulator
+
+        net = Network(Simulator())
+        a, b = net.add_host("a"), net.add_host("b")
+        net.connect(a, b, mtu=mtu)
+        return a.nics[0]
+
+    @pytest.mark.parametrize("mtu", MTUS)
+    def test_burst_frame_is_fragment_sum(self, mtu):
+        d = Datagram(proto=PROTO_TCP, src="a", dst="b", sport=1, dport=2,
+                     size=0)
+        for n in range(3 * mtu + 2):
+            expected = sum(fragment_sizes(n, mtu))
+            assert wire_bytes(n, mtu) == expected
+            assert Frame(d, n, first=True, burst=True).wire_at(mtu) == expected
+
+    @pytest.mark.parametrize("mtu", MTUS)
+    def test_fragment_frames_sum_to_fragment_sum(self, mtu):
+        """Router re-fragmentation (``split``) and NIC origination
+        (``_frames_for``) put exactly the fragment sum on the wire."""
+        nic = self._nic(mtu)
+        for n in range(3 * mtu + 2):
+            expected = sum(fragment_sizes(n, mtu))
+            d = Datagram(proto=PROTO_UDP, src="a", dst="b", sport=1,
+                         dport=2, size=max(0, n - UDP_HEADER))
+            split = Frame(d, n, first=True).split(mtu)
+            assert sum(f.wire_at(mtu) for f in split) == expected
+            if n >= UDP_HEADER:  # d carries exactly n transport bytes
+                frames = nic._frames_for(d)
+                assert sum(f.wire_at(mtu) for f in frames) == expected
+                assert d.wire_size(mtu) == expected
+
+    def test_mtu_without_ip_payload_rejected(self):
+        with pytest.raises(ValueError):
+            wire_bytes(100, IP_HEADER)
+
+    def test_packets_have_no_instance_dict(self):
+        d = Datagram(proto=PROTO_UDP, src="a", dst="b", sport=1, dport=2,
+                     size=10)
+        f = Frame(d, d.transport_bytes, first=True)
+        for obj in (d, f):
+            with pytest.raises(AttributeError):
+                obj.undeclared = 1
 
 
 class TestTokenBucketProperties:

@@ -22,12 +22,12 @@ class TestReassembly:
         dropped = {"n": 0}
         orig = link.ab.transmit
 
-        def lossy(frame, extra_start_delay=0.0):
+        def lossy(frame, extra_start_delay=0.0, wire=None):
             if dropped["n"] == 0:
                 dropped["n"] += 1
                 link.ab.drops += 1
                 return False
-            return orig(frame, extra_start_delay)
+            return orig(frame, extra_start_delay, wire)
 
         link.ab.transmit = lossy
         sa.udp_socket().sendto("b", 9, size=6000)

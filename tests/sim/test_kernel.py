@@ -275,3 +275,64 @@ class TestConditionsUnderTieShuffle:
             assert res == fifo
         # all_of preserves creation order of its members in the result
         assert fifo["values"] == ["t0", "t1", "t2", "t3"]
+
+
+class TestRunUntilEvent:
+    """``run_until`` stops exactly where a driver's ``peek()``/``step()``
+    loop stopped, and fails past the horizon the same way."""
+
+    @staticmethod
+    def _world(finish_at):
+        from repro.sim import Simulator
+
+        sim = Simulator()
+
+        def daemon(period):  # immortal: the queue never drains
+            while True:
+                yield sim.timeout(period)
+
+        def job():
+            yield sim.timeout(finish_at / 2)
+            yield sim.timeout(finish_at / 2)
+
+        sim.process(daemon(0.3))
+        sim.process(daemon(0.5))
+        proc = sim.process(job())
+        # a same-time event queued behind the job's finish
+        sim.timeout(finish_at)
+        return sim, proc
+
+    @staticmethod
+    def _peek_step(sim, proc, horizon):
+        """Reference: the experiment driver's loop before ``run_until``."""
+        while not proc.processed:
+            if sim.peek() > horizon:
+                raise RuntimeError(
+                    f"experiment still running at t={sim.now:.1f}s (horizon {horizon}s)"
+                )
+            sim.step()
+
+    @pytest.mark.parametrize("finish_at", [1.5, 2.0, 3.7])
+    def test_stops_on_the_same_event(self, finish_at):
+        ref, ref_proc = self._world(finish_at)
+        self._peek_step(ref, ref_proc, horizon=100.0)
+        sim, proc = self._world(finish_at)
+        sim.run_until(proc, horizon=100.0)
+        assert proc.processed
+        assert (sim.now, len(sim._queue)) == (ref.now, len(ref._queue))
+
+    def test_raises_past_the_horizon_like_the_loop(self):
+        ref, ref_proc = self._world(10.0)
+        with pytest.raises(RuntimeError) as expected:
+            self._peek_step(ref, ref_proc, horizon=4.0)
+        sim, proc = self._world(10.0)
+        with pytest.raises(RuntimeError) as raised:
+            sim.run_until(proc, horizon=4.0)
+        assert str(raised.value) == str(expected.value)
+        assert (sim.now, len(sim._queue)) == (ref.now, len(ref._queue))
+        assert not proc.processed
+
+    def test_drained_queue_raises(self, sim):
+        never = sim.event()
+        with pytest.raises(RuntimeError):
+            sim.run_until(never)
