@@ -14,6 +14,26 @@ minus the same-seed baseline's — the price of the fault, everything else
 being equal.  The report records per-scenario p50/p95 recovery and the
 acceptance criterion ``elapsed < 2x no-fault`` per run.
 
+``elapsed`` is the matmul job's own time, clocked by the master from the
+moment its sessions are connected.  A ``wizard_kill`` hits before that
+clock starts: the client's failover to the second wizard replica (about
+1.13 s from request to connected sessions, seed 0) is not in
+``recovery_s``.  What the job does see is that the primary replica is
+dead: it no longer exchanges transmitter traffic with the two group
+monitors, so the job's task messages queue less on the core->sw-g1 link
+(62.5 ms -> 25.5 ms summed over the job's frames, seed 0; the job also
+starts 1.13 s later against the periodic probes), and the job ends 0.9 ms
+sooner than the baseline.  That is the negative ``wizard_kill`` recovery;
+it is reported with its measured sign, not clamped to zero.
+
+The seed reaches neither the fault times nor the links; it reaches only
+the client's retry jitter, which runs only after a lost request.  So the
+seeds can give the same world: the baseline and ``server_kill`` give one,
+``wizard_kill`` two (its job starts 7.111-7.128 s into the run).
+``distinct_worlds`` counts the runs of a scenario that differ in anything
+but the seed (the faulted and the baseline run compared field by field,
+unrounded); the p50/p95 summarise that many samples, not ``len(SEEDS)``.
+
 The metrics are pure simulation time, so the JSON artefact
 (``benchmarks/results/BENCH_failover.json``) is deterministic and later
 PRs can diff it to track the failover path's cost.
@@ -24,6 +44,7 @@ Run with ``PYTHONPATH=src python benchmarks/bench_failover.py``.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from compare import report_drift
@@ -43,15 +64,24 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[rank]
 
 
+def _world(arm) -> str:
+    """Everything a run reports except its seed."""
+    fields = asdict(arm)
+    del fields["seed"]
+    return repr(sorted(fields.items()))
+
+
 def main() -> dict:
     baselines = {seed: failover_experiment("none", seed=seed)
                  for seed in SEEDS}
     scenarios = {}
     for fault in FAULTS:
         runs = []
+        worlds = set()
         for seed in SEEDS:
             arm = failover_experiment(fault, seed=seed)
             base = baselines[seed]
+            worlds.add((_world(arm), _world(base)))
             runs.append({
                 "seed": seed,
                 "elapsed_s": round(arm.elapsed, 3),
@@ -68,6 +98,7 @@ def main() -> dict:
             "recovery_p50_s": round(_percentile(recoveries, 0.50), 3),
             "recovery_p95_s": round(_percentile(recoveries, 0.95), 3),
             "all_under_2x_baseline": all(r["under_2x_baseline"] for r in runs),
+            "distinct_worlds": len(worlds),
         }
     report = {
         "scenario": "self-healing matmul 2v2 on a 2-replica wizard star",

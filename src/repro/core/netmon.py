@@ -329,9 +329,9 @@ class NetworkMonitor:
         yield seg.lock.acquire()
         try:
             # copy-on-write is required here: mutating the stored dict in
-            # place would bypass shared() tracking.  Runs at probe rate
-            # (netmon_interval), not request rate, so the copy is cheap;
-            # delta shipping (ROADMAP: fleet-sized traffic) removes it.
+            # place would bypass shared() tracking, and a reader holding
+            # the previous snapshot must not see it change.  Runs at probe
+            # rate (netmon_interval), not request rate, so the copy is cheap.
             db = dict(seg.read() or {})  # repro: noqa[REPRO501]
             rec = db.get(self.group) or NetStatusRecord(group=self.group)
             rec.metrics = dict(rec.metrics)

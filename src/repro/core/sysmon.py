@@ -137,9 +137,9 @@ class SystemMonitor:
         yield seg.lock.acquire()
         try:
             # copy-on-write upsert: in-place mutation of the stored dict
-            # would bypass shared() tracking.  Per status report (seconds
-            # apart per host), not per wizard request; delta shipping
-            # (ROADMAP: fleet-sized traffic) is the structural fix.
+            # would bypass shared() tracking, and a reader holding the
+            # previous snapshot must not see it change.  Per status report
+            # (seconds apart per host), not per wizard request.
             db = dict(seg.read() or {})  # repro: noqa[REPRO501]
             db[report.addr] = ServerStatusRecord(report=report, updated_at=self._now())
             seg.write(db)
@@ -156,8 +156,8 @@ class SystemMonitor:
                 yield seg.lock.acquire()
                 try:
                     # copy-on-write reap, once per probe_interval — same
-                    # shared()-tracking constraint and ROADMAP pointer as
-                    # _upsert above
+                    # shared()-tracking and snapshot constraint as _upsert
+                    # above
                     db = dict(seg.read() or {})  # repro: noqa[REPRO501]
                     stale = [a for a, rec in db.items() if rec.age(self._now()) > limit]
                     for addr in stale:

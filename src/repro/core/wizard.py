@@ -11,8 +11,10 @@ A UDP daemon on port 1120 processing requests sequentially:
    LRU :class:`~repro.lang.analysis.CompileCache` keyed by the text; a
    provably-unsatisfiable requirement is **NAKed with its diagnostics
    before the status DB is read** (``requests_rejected_static``), and on
-   the accept path the folded AST is evaluated against each server's
-   status record; a server qualifies iff every logical statement holds;
+   the accept path the folded program (closure-compiled on its first
+   evaluation, kept in the cache entry) is evaluated against each
+   server's status record; a server qualifies iff every logical
+   statement holds;
 4. apply the user-side slots: denied hosts are removed, preferred hosts
    are moved to the front of the candidate list;
 5. reply ``[seq, server_num, server...]`` (Table 3.6) capped at 60 hosts.
@@ -247,9 +249,9 @@ class Wizard:
         seg = self.shm.segment(key)
         yield seg.lock.acquire()
         try:
-            # full snapshot copy per request; replacing this with delta
-            # shipping + epoch reconciliation is the fleet-scaling item
-            # in ROADMAP.md ("Scale the wizard to fleet-sized traffic")
+            # private snapshot copy per request: the stored dict is shared
+            # with every other reader and shared() tracks it only through
+            # read()/write(), so nothing the scan does may touch it in place
             return dict(seg.read() or {})  # repro: noqa[REPRO501]
         finally:
             seg.lock.release()

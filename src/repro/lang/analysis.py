@@ -776,7 +776,10 @@ class CompileCache:
 
     The wizard consults it once per request: repeated requirements (the
     common case — one application sends the same spec for every job) skip
-    lexing, parsing and analysis entirely and evaluate the folded AST.
+    lexing, parsing and analysis entirely.  The first evaluation of a
+    cached folded program translates it into closures that stay on the
+    entry (see :mod:`repro.lang.evaluator`), so a hit also skips that, and
+    each server record costs one call per statement.
     """
 
     def __init__(self, maxsize: int = 256):

@@ -10,6 +10,7 @@ instead of via yacc's global ``logic`` flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Optional
 
 __all__ = [
     "Node",
@@ -135,6 +136,10 @@ class Program(Node):
     statements: list[Statement] = field(default_factory=list)
     #: parse errors collected in recovery mode (yacc's ``error '\n'`` rule)
     errors: list = field(default_factory=list)
+    #: the statements translated to closures by the first ``evaluate`` of
+    #: this program (see ``repro.lang.evaluator``); ``None`` until then
+    _compiled: Optional[tuple[Any, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def logical_statements(self) -> list[Statement]:
         return [s for s in self.statements if is_logical(s)]

@@ -14,7 +14,6 @@ from repro.lang import (
     parse,
     tokenize,
 )
-from repro.lang.evaluator import Environment, _eval
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -86,8 +85,8 @@ class TestEvaluationProperties:
     @given(arith_exprs())
     @settings(max_examples=60)
     def test_arithmetic_matches_python(self, expr):
-        (stmt,) = parse(expr).statements
-        got = _eval(stmt, Environment())
+        result = evaluate(parse(f"x = {expr}"), {})
+        got = result.env.temps["x"]
         expected = eval(expr)  # same grammar subset as Python's
         assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-9)
 
