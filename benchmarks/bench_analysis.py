@@ -13,6 +13,12 @@ benchmark measures three paths over a synthetic status DB:
 * ``static_reject``     — a provably-unsatisfiable requirement: the seed
   path scans the whole DB, the analysis path NAKs on a cache lookup.
 
+It also times the ``lang`` front end on its own: ``compile_cold_us`` is
+the median, over trials, of the mean microseconds one uncached
+``compile_requirement`` (lex, parse, analyze, fold) takes over the
+requirements above, the unsatisfiable one and every golden ``.req`` file
+-- what one compile-cache miss costs the wizard.
+
 Writes ``benchmarks/results/BENCH_analysis.json``.  The acceptance bar:
 ``cached_folded`` must be no slower than ``parse_every_time`` for
 repeated requests (it skips the parser entirely and evaluates fewer
@@ -31,9 +37,10 @@ from pathlib import Path
 from compare import report_drift
 
 from repro.lang import evaluate, parse
-from repro.lang.analysis import CompileCache
+from repro.lang.analysis import CompileCache, compile_requirement
 
 RESULTS = Path(__file__).parent / "results" / "BENCH_analysis.json"
+GOLDEN = Path(__file__).parent.parent / "tests" / "lang" / "golden"
 
 #: Table 5.3/5.4/5.6-shaped requirements — what real clients send
 REQUIREMENTS = [
@@ -48,6 +55,7 @@ UNSATISFIABLE = "(host_cpu_free > 2) && (host_memory_free > 5)"
 N_RECORDS = 60           # the wizard's hard reply cap is 60 hosts
 N_REQUESTS = 200         # repeated requests per requirement text
 N_TRIALS = 5
+N_COLD_TRIALS = 50       # passes over the cold-compile texts
 
 
 def synthetic_db(n: int) -> list[dict[str, float]]:
@@ -86,6 +94,17 @@ def time_cached_folded(reqs, db, n_requests) -> tuple[float, CompileCache]:
     return time.perf_counter() - t0, cache
 
 
+def time_compile_cold(texts) -> float:
+    """Median over passes of the mean µs per uncached compile."""
+    passes = []
+    for _ in range(N_COLD_TRIALS):
+        t0 = time.perf_counter()
+        for text in texts:
+            compile_requirement(text)
+        passes.append((time.perf_counter() - t0) / len(texts) * 1e6)
+    return statistics.median(passes)
+
+
 def check_equivalence(reqs, db) -> None:
     """The folded AST must qualify exactly the same records."""
     cache = CompileCache()
@@ -117,6 +136,10 @@ def main() -> None:
         time_cached_folded([UNSATISFIABLE], db, N_REQUESTS)[0]
         for _ in range(N_TRIALS))
 
+    cold_texts = REQUIREMENTS + [UNSATISFIABLE] + [
+        path.read_text() for path in sorted(GOLDEN.glob("*.req"))]
+    compile_cold_us = time_compile_cold(cold_texts)
+
     seed_s = statistics.median(seed_trials)
     cached_s = statistics.median(cached_trials)
     result = {
@@ -134,6 +157,8 @@ def main() -> None:
             "cached_nak_s": round(reject_cached, 6),
             "speedup": round(reject_seed / max(reject_cached, 1e-9), 1),
         },
+        "compile_cold_texts": len(cold_texts),
+        "compile_cold_us": round(compile_cold_us, 1),
         "cached_no_slower": cached_s <= seed_s * 1.05,
     }
     report_drift(result, RESULTS)

@@ -11,6 +11,12 @@ of seeds and records how fast the wizard's reply quality recovers:
 * ``budget_s``   — the plane's theoretical bound,
   ``probe_miss_limit * probe_interval + transmit_interval``.
 
+Different seeds need not give different worlds (in
+``bench_failover.py`` the seed reaches only the client's retry jitter).
+``distinct_worlds`` counts the runs whose reply timelines (every poll's
+time, unrounded, and reply set) and fault logs differ; the means
+summarise that many samples, not the number of seeds.
+
 The metrics are pure simulation time, so the JSON artefact
 (``benchmarks/results/BENCH_chaos.json``) is deterministic and later PRs
 can diff it to track the robustness trajectory.
@@ -96,7 +102,8 @@ def acceptance_plan() -> FaultPlan:
             .restart_daemon(TX_RESTART_AT, "mon2", "transmitter"))
 
 
-def run_once(seed: int) -> dict:
+def run_once(seed: int) -> tuple[dict, str]:
+    """One seed's metrics, and its world: everything it observed."""
     cluster, dep, addrs = build_world(seed)
     chaos = ChaosController(dep, acceptance_plan())
     chaos.start()
@@ -120,7 +127,7 @@ def run_once(seed: int) -> dict:
     recovered = [t for t, s in observed
                  if t >= HEAL_AT and len(s) == 3 and set(s) <= live]
     recovery_s = (recovered[0] - HEAL_AT) if recovered else float("inf")
-    return {
+    metrics = {
         "seed": seed,
         "expiry_s": round(expiry_s, 3),
         "recovery_s": round(recovery_s, 3),
@@ -128,10 +135,12 @@ def run_once(seed: int) -> dict:
         "replies": len(observed),
         "faults_applied": len(chaos.log),
     }
+    return metrics, repr((observed, chaos.log))
 
 
 def main() -> dict:
-    runs = [run_once(seed) for seed in (0, 1, 2)]
+    outcomes = [run_once(seed) for seed in (0, 1, 2)]
+    runs = [metrics for metrics, _ in outcomes]
     report = {
         "scenario": "crash 2/6 servers + 30 s group partition + transmitter restart",
         "budget_s": BUDGET,
@@ -139,6 +148,7 @@ def main() -> dict:
         "mean_expiry_s": round(sum(r["expiry_s"] for r in runs) / len(runs), 3),
         "mean_recovery_s": round(sum(r["recovery_s"] for r in runs) / len(runs), 3),
         "all_within_budget": all(r["within_budget"] for r in runs),
+        "distinct_worlds": len({world for _, world in outcomes}),
     }
     RESULTS.parent.mkdir(exist_ok=True)
     report_drift(report, RESULTS)

@@ -19,6 +19,13 @@ lower than the fixed arm's on every run, with the adaptive
 time-to-demote (fault injection -> first watchdog migration) reported
 alongside.
 
+Different seeds need not give different worlds (in
+``bench_failover.py`` the seed reaches only the client's retry jitter).
+``distinct_worlds`` counts, per scenario and detector arm, the runs that
+differ in anything but the seed (the faulted and the baseline run
+compared field by field, unrounded, as ``bench_failover.py`` does); the
+p50/p95 summarise that many samples, not ``len(SEEDS)``.
+
 The metrics are pure simulation time, so the JSON artefact
 (``benchmarks/results/BENCH_grayfail.json``) is deterministic and later
 PRs can diff it to track the detector's reaction time.
@@ -29,6 +36,7 @@ Run with ``PYTHONPATH=src python benchmarks/bench_grayfail.py``.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from compare import report_drift
@@ -55,6 +63,13 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[rank]
 
 
+def _world(arm) -> str:
+    """Everything a run reports except its seed."""
+    fields = asdict(arm)
+    del fields["seed"]
+    return repr(sorted(fields.items()))
+
+
 def main() -> dict:
     # the watchdog config changes the event schedule, so each detector
     # arm is judged against its *own* same-seed no-fault baseline
@@ -68,9 +83,11 @@ def main() -> dict:
         arms = {}
         for detector in GRAYFAIL_DETECTORS:
             runs = []
+            worlds = set()
             for seed in SEEDS:
                 arm = grayfail_experiment(fault, detector, seed=seed)
                 base = baselines[(detector, seed)]
+                worlds.add((_world(arm), _world(base)))
                 runs.append({
                     "seed": seed,
                     "elapsed_s": round(arm.elapsed, 3),
@@ -93,6 +110,7 @@ def main() -> dict:
                 "time_to_demote_p50_s": (
                     round(_percentile(demotes, 0.50), 3) if demotes else -1.0
                 ),
+                "distinct_worlds": len(worlds),
             }
         # per-seed advantage: excess slowdown fixed / adaptive (the
         # binary detector never migrates, so its excess is the gray

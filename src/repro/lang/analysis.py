@@ -36,14 +36,15 @@ Soundness notes (what a verdict does and does not promise):
 from __future__ import annotations
 
 import difflib
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .builtins import BUILTINS, CONSTANTS
 from .diagnostics import Diagnostic, make
-from .errors import EvalError, LangError, ParseError
+from .errors import COMPLEX_POWER, EvalError, LangError, ParseError
 from .nodes import (
     Addr,
     Assign,
@@ -157,7 +158,7 @@ class AbstractValue:
 
     @staticmethod
     def number(value: float) -> "AbstractValue":
-        return AbstractValue(lo=value, hi=value, kind="num", const=value)
+        return AbstractValue(value, value, "num", value)
 
     @staticmethod
     def string(value: str) -> "AbstractValue":
@@ -165,7 +166,7 @@ class AbstractValue:
 
     @staticmethod
     def interval(lo: float, hi: float) -> "AbstractValue":
-        return AbstractValue(lo=lo, hi=hi, kind="num")
+        return AbstractValue(lo, hi, "num")
 
     @staticmethod
     def top() -> "AbstractValue":
@@ -197,6 +198,14 @@ class AbstractValue:
         if self.kind == "num" and (self.lo, self.hi) != (-INF, INF):
             return f"[{_fmt(self.lo)}, {_fmt(self.hi)}]"
         return "unknown"
+
+
+#: shared immutable values: a logical result, and each variable's range
+_TRUE_VALUE = AbstractValue.number(1.0)
+_FALSE_VALUE = AbstractValue.number(0.0)
+_BOOL_VALUE = AbstractValue.interval(0.0, 1.0)
+_VAR_VALUES = {name: AbstractValue.interval(lo, hi)
+               for name, (lo, hi) in VAR_INTERVALS.items()}
 
 
 def _fmt(x: float) -> str:
@@ -237,8 +246,20 @@ def _idiv(a: AbstractValue, b: AbstractValue) -> AbstractValue:
     return _imul(a, recip)
 
 
-def _close_match(name: str, candidates) -> Optional[str]:
-    hits = difflib.get_close_matches(name, list(candidates), n=1, cutoff=0.8)
+#: the names a misspelt variable or function is matched against
+_VAR_REGISTRY = frozenset(ALL_PREDEFINED) | frozenset(CONSTANTS)
+_FUNC_REGISTRY = frozenset(BUILTINS)
+
+#: most (name, registry) suggestions remembered; a requirement's unknown
+#: names are mostly hostnames, so a handful recur across requests
+_CLOSE_MATCH_CAP = 1024
+
+
+@functools.lru_cache(maxsize=_CLOSE_MATCH_CAP)
+def _close_match(name: str, registry: frozenset[str]) -> Optional[str]:
+    # ties on the score go to the larger name (difflib ranks (score, name)
+    # pairs), so the registry's iteration order does not matter
+    hits = difflib.get_close_matches(name, registry, n=1, cutoff=0.8)
     return hits[0] if hits else None
 
 
@@ -297,8 +318,8 @@ class _Analyzer:
         """Mirror ``Environment.lookup`` order: temps, server, user, consts."""
         if name in self.temps:
             return self.temps[name]
-        if name in VAR_INTERVALS:
-            return AbstractValue.interval(*VAR_INTERVALS[name])
+        if name in _VAR_VALUES:
+            return _VAR_VALUES[name]
         if name in USER_SIDE_VARS:
             return AbstractValue.top()
         if name in CONSTANTS:
@@ -307,8 +328,7 @@ class _Analyzer:
 
     def _check_var_name(self, node: Var, *, assign_rhs: bool) -> None:
         """REQ001/REQ002 for names outside registry, temps and constants."""
-        suggestion = _close_match(
-            node.name, set(ALL_PREDEFINED) | set(CONSTANTS))
+        suggestion = _close_match(node.name, _VAR_REGISTRY)
         if suggestion is not None and suggestion != node.name:
             self._emit(
                 "REQ002",
@@ -326,32 +346,25 @@ class _Analyzer:
         )
 
     # -- recursive walk -----------------------------------------------------
-    def walk(self, node: Node, *, assign_rhs: bool = False
+    def walk(self, node: Node, assign_rhs: bool = False
              ) -> tuple[AbstractValue, Node]:
         """Return ``(abstract value, constant-folded node)``."""
-        if isinstance(node, Num):
-            return AbstractValue.number(node.value), node
-        if isinstance(node, Addr):
-            return AbstractValue.string(node.value), node
-        if isinstance(node, Paren):
-            return self.walk(node.inner, assign_rhs=assign_rhs)
-        if isinstance(node, Var):
-            return self._walk_var(node, assign_rhs=assign_rhs)
-        if isinstance(node, Neg):
-            return self._walk_neg(node, assign_rhs=assign_rhs)
-        if isinstance(node, Assign):
-            return self._walk_assign(node)
-        if isinstance(node, Call):
-            return self._walk_call(node, assign_rhs=assign_rhs)
-        if isinstance(node, BinOp):
-            return self._walk_binop(node, assign_rhs=assign_rhs)
-        if isinstance(node, Compare):
-            return self._walk_compare(node, assign_rhs=assign_rhs)
-        if isinstance(node, Logic):
-            return self._walk_logic(node, assign_rhs=assign_rhs)
-        return AbstractValue.top(), node
+        while type(node) is Paren:  # folding unwraps parentheses
+            node = node.inner
+        step = _WALK_STEPS.get(type(node))
+        if step is None:
+            return AbstractValue.top(), node
+        return step(self, node, assign_rhs)
 
-    def _walk_var(self, node: Var, *, assign_rhs: bool
+    def _walk_num(self, node: Num, assign_rhs: bool
+                  ) -> tuple[AbstractValue, Node]:
+        return AbstractValue.number(node.value), node
+
+    def _walk_addr(self, node: Addr, assign_rhs: bool
+                   ) -> tuple[AbstractValue, Node]:
+        return AbstractValue.string(node.value), node
+
+    def _walk_var(self, node: Var, assign_rhs: bool
                   ) -> tuple[AbstractValue, Node]:
         value = self._var_value(node.name)
         if value is None:
@@ -365,9 +378,9 @@ class _Analyzer:
             return value, Num(float(value.const), line=node.line, col=node.col)
         return value, node
 
-    def _walk_neg(self, node: Neg, *, assign_rhs: bool
+    def _walk_neg(self, node: Neg, assign_rhs: bool
                   ) -> tuple[AbstractValue, Node]:
-        value, folded = self.walk(node.operand, assign_rhs=assign_rhs)
+        value, folded = self.walk(node.operand, assign_rhs)
         if value.is_str and not assign_rhs:
             self._emit(
                 "REQ006",
@@ -381,7 +394,8 @@ class _Analyzer:
         out = AbstractValue.interval(-value.hi, -value.lo)
         return out, Neg(folded, line=node.line, col=node.col)
 
-    def _walk_assign(self, node: Assign) -> tuple[AbstractValue, Node]:
+    def _walk_assign(self, node: Assign, assign_rhs: bool
+                     ) -> tuple[AbstractValue, Node]:
         if node.name in _READ_ONLY:
             self._emit(
                 "REQ005",
@@ -394,12 +408,12 @@ class _Analyzer:
         folded = Assign(node.name, folded_rhs, line=node.line, col=node.col)
         return value, folded
 
-    def _walk_call(self, node: Call, *, assign_rhs: bool
+    def _walk_call(self, node: Call, assign_rhs: bool
                    ) -> tuple[AbstractValue, Node]:
         arg_values: list[AbstractValue] = []
         folded_args: list[Node] = []
         for arg in node.args:
-            value, folded = self.walk(arg, assign_rhs=assign_rhs)
+            value, folded = self.walk(arg, assign_rhs)
             if value.is_str and not assign_rhs:
                 self._emit(
                     "REQ006",
@@ -412,7 +426,7 @@ class _Analyzer:
         folded_call = Call(node.func, folded_args, line=node.line, col=node.col)
         entry = BUILTINS.get(node.func)
         if entry is None:
-            suggestion = _close_match(node.func, BUILTINS)
+            suggestion = _close_match(node.func, _FUNC_REGISTRY)
             hint = f"; did you mean {suggestion!r}?" if suggestion else ""
             self._emit("REQ003", f"unknown function {node.func!r}{hint}", node)
             self._stmt_faulted = True
@@ -451,10 +465,10 @@ class _Analyzer:
                 math.ceil(a.hi) if a.hi < INF else INF), folded_call)
         return AbstractValue.top(), folded_call
 
-    def _walk_binop(self, node: BinOp, *, assign_rhs: bool
+    def _walk_binop(self, node: BinOp, assign_rhs: bool
                     ) -> tuple[AbstractValue, Node]:
-        left, lfold = self.walk(node.left, assign_rhs=assign_rhs)
-        right, rfold = self.walk(node.right, assign_rhs=assign_rhs)
+        left, lfold = self.walk(node.left, assign_rhs)
+        right, rfold = self.walk(node.right, assign_rhs)
         folded = BinOp(node.op, lfold, rfold, line=node.line, col=node.col)
         if assign_rhs and (left.is_str or right.is_str):
             # hostname idiom: titan-x re-joins at runtime; keep the original
@@ -493,10 +507,13 @@ class _Analyzer:
                     raise ZeroDivisionError("division by 0")
                 result = left / right
             elif node.op == "^":
-                result = float(left ** right)
+                power = left ** right
+                if isinstance(power, complex):
+                    raise ValueError(COMPLEX_POWER)
+                result = float(power)
             else:  # pragma: no cover - parser only builds the five ops
                 return AbstractValue.top(), folded
-            if math.isnan(result) or isinstance(result, complex):
+            if math.isnan(result):
                 raise ValueError("domain error")
         except (OverflowError, ZeroDivisionError, ValueError) as exc:
             self._emit("REQ008", f"constant expression faults: {exc}", node)
@@ -515,7 +532,7 @@ class _Analyzer:
             return node
         return None
 
-    def _walk_compare(self, node: Compare, *, assign_rhs: bool
+    def _walk_compare(self, node: Compare, assign_rhs: bool
                       ) -> tuple[AbstractValue, Node]:
         # §6 string-attribute form: a bare unknown identifier in an
         # equality test reads as a string literal at runtime — analyze the
@@ -524,8 +541,8 @@ class _Analyzer:
         sides: list[tuple[AbstractValue, Node]] = []
         for child in (node.left, node.right):
             other = node.right if child is node.left else node.left
-            bare = self._bare_unknown_var(child)
-            if string_eq and bare is not None and bare.name not in self.temps:
+            bare = self._bare_unknown_var(child) if string_eq else None
+            if bare is not None and bare.name not in self.temps:
                 other_bare = self._bare_unknown_var(other)
                 other_stringish = (
                     other_bare is not None
@@ -534,8 +551,7 @@ class _Analyzer:
                 )
                 if other_stringish:
                     # suppress REQ001 but still catch registry misspellings
-                    suggestion = _close_match(
-                        bare.name, set(ALL_PREDEFINED) | set(CONSTANTS))
+                    suggestion = _close_match(bare.name, _VAR_REGISTRY)
                     if suggestion is not None and suggestion != bare.name:
                         self._emit(
                             "REQ002",
@@ -543,12 +559,12 @@ class _Analyzer:
                             f"mean {suggestion!r}?", bare)
                     sides.append((AbstractValue.top(), child))
                     continue
-            sides.append(self.walk(child, assign_rhs=assign_rhs))
+            sides.append(self.walk(child, assign_rhs))
         (left, lfold), (right, rfold) = sides
         folded = Compare(node.op, lfold, rfold, line=node.line, col=node.col)
         self._check_units(node, left, right)
         # ordering on a definite string faults at runtime (EvalError)
-        if node.op not in ("==", "!=") and (left.is_str or right.is_str):
+        if not string_eq and (left.is_str or right.is_str):
             bad = left if left.is_str else right
             self._emit(
                 "REQ006",
@@ -558,10 +574,10 @@ class _Analyzer:
             return AbstractValue.interval(0.0, 0.0), folded
         truth = self._compare_truth(node.op, left, right)
         if truth == TRUE:
-            return AbstractValue.number(1.0), folded
+            return _TRUE_VALUE, folded
         if truth == FALSE:
-            return AbstractValue.number(0.0), folded
-        return AbstractValue.interval(0.0, 1.0), folded
+            return _FALSE_VALUE, folded
+        return _BOOL_VALUE, folded
 
     def _could_be_string(self, node: Node) -> bool:
         """Conservative: might this expression be a string at runtime?"""
@@ -620,11 +636,12 @@ class _Analyzer:
                      right: AbstractValue) -> None:
         """REQ204: MB-unit variable compared against a byte-sized constant."""
         for side, other in ((node.left, right), (node.right, left)):
+            if other.kind != "num" or other.lo < _MIB:
+                continue
             inner = side
             while isinstance(inner, Paren):
                 inner = inner.inner
-            if (isinstance(inner, Var) and inner.name in MB_UNIT_VARS
-                    and other.kind == "num" and other.lo >= _MIB):
+            if isinstance(inner, Var) and inner.name in MB_UNIT_VARS:
                 self._emit(
                     "REQ204",
                     f"{inner.name} is measured in MB (thesis unit quirk); "
@@ -632,10 +649,10 @@ class _Analyzer:
                     node,
                 )
 
-    def _walk_logic(self, node: Logic, *, assign_rhs: bool
+    def _walk_logic(self, node: Logic, assign_rhs: bool
                     ) -> tuple[AbstractValue, Node]:
-        left, lfold = self.walk(node.left, assign_rhs=assign_rhs)
-        right, rfold = self.walk(node.right, assign_rhs=assign_rhs)
+        left, lfold = self.walk(node.left, assign_rhs)
+        right, rfold = self.walk(node.right, assign_rhs)
         folded = Logic(node.op, lfold, rfold, line=node.line, col=node.col)
         lt, rt = left.truth(), right.truth()
         if node.op == "&&":
@@ -652,10 +669,10 @@ class _Analyzer:
                         "'&&' branch is always true — it never filters "
                         "anything", child)
             if FALSE in (lt, rt):
-                return AbstractValue.number(0.0), folded
+                return _FALSE_VALUE, folded
             if lt == rt == TRUE:
-                return AbstractValue.number(1.0), folded
-            return AbstractValue.interval(0.0, 1.0), folded
+                return _TRUE_VALUE, folded
+            return _BOOL_VALUE, folded
         # "||"
         for truth, child in ((lt, node.left), (rt, node.right)):
             if truth == FALSE:
@@ -663,10 +680,10 @@ class _Analyzer:
                     "REQ202",
                     "dead '||' branch: always false, never selected", child)
         if TRUE in (lt, rt):
-            return AbstractValue.number(1.0), folded
+            return _TRUE_VALUE, folded
         if lt == rt == FALSE:
-            return AbstractValue.number(0.0), folded
-        return AbstractValue.interval(0.0, 1.0), folded
+            return _FALSE_VALUE, folded
+        return _BOOL_VALUE, folded
 
     # -- statements ---------------------------------------------------------
     def run(self, program: Program) -> tuple[Program, list[tuple[int, str]]]:
@@ -700,6 +717,21 @@ class _Analyzer:
                     "statement is always true — it never filters anything",
                     stmt)
         return folded_program, truths
+
+
+#: node type -> the ``_Analyzer`` method that walks it
+_WALK_STEPS: dict[type, Callable[[_Analyzer, Any, bool],
+                                 tuple[AbstractValue, Node]]] = {
+    Num: _Analyzer._walk_num,
+    Addr: _Analyzer._walk_addr,
+    Var: _Analyzer._walk_var,
+    Neg: _Analyzer._walk_neg,
+    Assign: _Analyzer._walk_assign,
+    Call: _Analyzer._walk_call,
+    BinOp: _Analyzer._walk_binop,
+    Compare: _Analyzer._walk_compare,
+    Logic: _Analyzer._walk_logic,
+}
 
 
 def _contains_assign(node: Node) -> bool:
@@ -757,8 +789,9 @@ def compile_requirement(text: str) -> CompiledRequirement:
     """Parse (with recovery) + analyze + fold one requirement text."""
     try:
         result = analyze(text, recover=True)
-    except LangError:
-        # even recovery failed (lexer-level garbage): unevaluable program
+    except (LangError, RecursionError):
+        # even recovery failed (lexer-level garbage, or nesting deeper than
+        # the interpreter's recursion limit): unevaluable program
         return CompiledRequirement(
             source=text, folded=Program(), diagnostics=(),
             unsatisfiable=False, parse_failed=True,

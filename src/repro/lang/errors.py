@@ -4,6 +4,9 @@ from __future__ import annotations
 
 __all__ = ["LangError", "LexError", "ParseError", "EvalError"]
 
+#: why ``^`` faults when Python's ``**`` would return a complex number
+COMPLEX_POWER = "negative base raised to a fractional power"
+
 
 class LangError(Exception):
     """Base class; carries source position when known."""

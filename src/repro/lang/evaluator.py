@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .builtins import CONSTANTS, call_builtin
-from .errors import EvalError
+from .errors import COMPLEX_POWER, EvalError
 from .nodes import (
     Addr,
     Assign,
@@ -289,10 +289,13 @@ def _arith_checked(op: str, line: int,
     if op == "^":
         def power(a: float, b: float) -> float:
             try:
-                return float(a ** b)
+                result = a ** b
             except (OverflowError, ZeroDivisionError, ValueError) as exc:
                 raise EvalError(f"power: {exc}", line=line,
                                 col=col) from exc
+            if isinstance(result, complex):
+                raise EvalError(f"power: {COMPLEX_POWER}", line=line, col=col)
+            return float(result)
 
         return power
 
@@ -478,10 +481,18 @@ def evaluate(program: Program, server_params: dict[str, float],
     ``user_presets`` seeds the user-side slots (e.g. options carried in the
     request separately from the requirement text).  ``server_params`` is
     read, never written, and the returned ``env.server`` is that same dict.
+    A program nested deeper than the interpreter can translate raises
+    :class:`EvalError`.
     """
     statements = program._compiled
     if statements is None:
-        statements = program._compiled = _translate(program)
+        try:
+            statements = program._compiled = _translate(program)
+        except RecursionError:
+            # running the closures nests fewer calls than translating
+            # them, so a program that translates also runs
+            raise EvalError("requirement nested too deeply to evaluate"
+                            ) from None
     env = Environment(server_params)
     if user_presets:
         env.user.update(user_presets)

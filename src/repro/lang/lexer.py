@@ -10,13 +10,20 @@ Implements the flex rules of thesis Fig 4.1:
 * the C logical operators ``&& || > >= == != < <=`` plus the arithmetic
   ``+ - * / ^ ( ) =`` pass through,
 * ``\\n`` ends a statement.
+
+:func:`tokenize` scans the source once: one ``finditer`` over a single
+alternation of the rules above.  No rule starts with a blank, so the scan
+steps over white space without producing a match; the last, catch-all
+group matches any other character no rule accepts and raises
+:class:`LexError` at its position.  Only ``NEWLINE`` tokens advance the
+line count.  The tokens come back as one list, ending with a single
+``EOF`` token.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -32,29 +39,25 @@ class TokenKind:
     EOF = "EOF"
 
 
-#: operator lexemes, longest first so ``>=`` wins over ``>``
-_OPERATORS = ["&&", "||", ">=", "<=", "==", "!=", ">", "<",
-              "+", "-", "*", "/", "^", "(", ")", "=", ","]
-
 _TOKEN_RE = re.compile(
     r"""
     (?P<COMMENT>\#[^\n]*)
-  | (?P<WS>[ \t\r]+)
   | (?P<NETADDR>
         [0-9]+\.[0-9]+\.[0-9]+\.[0-9]+            # dotted quad
-      | [a-zA-Z][a-zA-Z_0-9-]*(\.[a-zA-Z_0-9-]+)+ # dotted domain name
+      | [a-zA-Z][a-zA-Z_0-9-]*\.[a-zA-Z_0-9-]+(?:\.[a-zA-Z_0-9-]+)*
+                                                # dotted domain name
     )
   | (?P<NUMBER>[0-9]+\.[0-9]+|[0-9]+)
   | (?P<IDENT>[a-zA-Z][a-zA-Z_0-9]*)
-  | (?P<OP>&&|\|\||>=|<=|==|!=|[><+\-*/^()=,])
+  | (?P<OP>&&|\|\||>=|<=|==|!=|[><+\-*/^()=,])  # longest first: >= before >
   | (?P<NEWLINE>\n)
+  | (?P<ERROR>[^ \t\r])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -64,32 +67,36 @@ class Token:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
 
 
-def tokenize(source: str) -> Iterator[Token]:
-    """Yield tokens; terminates with a single EOF token.
+#: builds a Token from a ready tuple without the NamedTuple ``__new__``
+#: call (the per-token cost of the scan)
+_new_token = tuple.__new__
+
+
+def tokenize(source: str) -> list[Token]:
+    """Return the tokens of ``source``, ending with a single EOF token.
 
     Raises :class:`LexError` on the first unrecognised character.
     """
-    pos = 0
+    tokens: list[Token] = []
+    append = tokens.append
     line = 1
     line_start = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise LexError(
-                f"unexpected character {source[pos]!r}",
-                line=line, col=pos - line_start + 1,
-            )
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
-        col = pos - line_start + 1
-        pos = m.end()
-        if kind in ("COMMENT", "WS"):
+        if kind == "COMMENT":
             continue
+        start = m.start()
         if kind == "NEWLINE":
-            yield Token(TokenKind.NEWLINE, text, line, col)
+            append(_new_token(Token, (kind, "\n", line, start - line_start + 1)))
             line += 1
-            line_start = pos
-            continue
-        yield Token(kind, text, line, col)
-    yield Token(TokenKind.EOF, "", line, pos - line_start + 1)
+            line_start = start + 1
+        elif kind == "ERROR":
+            raise LexError(
+                f"unexpected character {source[start]!r}",
+                line=line, col=start - line_start + 1,
+            )
+        else:
+            append(_new_token(Token, (kind, m.group(), line,
+                                      start - line_start + 1)))
+    append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
+    return tokens

@@ -107,3 +107,64 @@ class TestWizardNakEndToEnd:
 
         assert run_process(cluster.sim, p(), until=30.0) == ["srv1", "srv2"]
         assert client.precheck_rejections == 0
+
+
+class TestComplexPower:
+    """A negative base to a fractional power has no real value; the
+    language reports it as its own fault, never as a Python TypeError."""
+
+    CONSTANT = "-2 ^ 0.5 > 0"            # folds: REQ008 + REQ101
+    RUNTIME = "(host_cpu_free - 2) ^ 0.5 > 0"  # faults on every server
+
+    def test_precheck_rejects_constant_form(self):
+        cluster, dep, client_host, _ = small_deployment()
+        client = dep.client_for(client_host)
+        with pytest.raises(RequirementRejected) as exc:
+            list(client.request_servers(self.CONSTANT, 2))
+        assert "REQ008" in str(exc.value)
+        assert client.requests_sent == 0
+
+    def test_wizard_naks_or_answers_then_serves_the_next_request(self):
+        cluster, dep, client_host, _ = small_deployment()
+        client = dep.client_for(client_host)
+
+        def p():
+            yield cluster.sim.timeout(3.0)
+            replies = []
+            for text in (self.CONSTANT, self.RUNTIME,
+                         "host_cpu_bogomips > 2500"):
+                reply = yield from client.request_servers(
+                    text, 5, precheck=False)
+                replies.append(reply)
+            return replies
+
+        nak, empty, good = run_process(cluster.sim, p(), until=30.0)
+        assert nak.nak and nak.servers == []
+        assert [d.code for d in nak.diagnostics] == ["REQ008", "REQ101"]
+        assert not empty.nak and empty.servers == []
+        assert sorted(cluster.network.hostname_of(a)
+                      for a in good.servers) == ["srv1", "srv2"]
+        assert dep.wizard.requests_rejected_static == 1
+        assert dep.wizard.request_errors == 0
+        assert dep.wizard.requests_handled == 3
+        cluster.run(until=40.0)  # the simulation keeps running
+
+
+def test_wizard_survives_a_requirement_nested_past_the_recursion_limit():
+    cluster, dep, client_host, _ = small_deployment()
+    client = dep.client_for(client_host)
+    deep = "(" * 5000 + "host_cpu_free" + ")" * 5000 + " > 0"
+
+    def p():
+        yield cluster.sim.timeout(3.0)
+        first = yield from client.request_servers(deep, 5, precheck=False)
+        second = yield from client.request_servers(
+            "host_cpu_bogomips > 2500", 5)
+        return first, second
+
+    first, second = run_process(cluster.sim, p(), until=30.0)
+    assert not first.nak and first.servers == []
+    assert dep.wizard.parse_failures == 1
+    assert len(second.servers) == 2
+    with pytest.raises(RequirementRejected, match="does not parse"):
+        list(client.request_servers(deep, 5))

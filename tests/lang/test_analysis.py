@@ -2,17 +2,32 @@
 
 from __future__ import annotations
 
+import difflib
 import random
 
+import pytest
+
 from repro.lang import (
+    BinOp,
+    Compare,
     CompileCache,
+    EvalError,
     Num,
+    Program,
     analyze,
     compile_requirement,
     evaluate,
     parse,
 )
-from repro.lang.analysis import FALSE, TRUE, UNKNOWN
+from repro.lang.analysis import (
+    _CLOSE_MATCH_CAP,
+    _FUNC_REGISTRY,
+    _VAR_REGISTRY,
+    FALSE,
+    TRUE,
+    UNKNOWN,
+    _close_match,
+)
 
 
 def codes(result):
@@ -75,6 +90,21 @@ class TestSemanticDiagnostics:
         r = analyze("1 / 0 > 0")
         assert "REQ008" in codes(r)
         assert r.unsatisfiable
+
+    def test_constant_fault_complex_power(self):
+        # unary minus binds tighter than ^: (-2) ^ 0.5 has no real value
+        compiled = compile_requirement("-2 ^ 0.5 > 0")
+        assert [d.code for d in compiled.diagnostics] == ["REQ008", "REQ101"]
+        assert "negative base raised to a fractional power" in \
+            compiled.diagnostics[0].message
+        assert (compiled.diagnostics[0].line,
+                compiled.diagnostics[0].col) == (1, 4)
+        assert compiled.unsatisfiable
+
+    def test_complex_power_in_assignment_is_reported_not_raised(self):
+        compiled = compile_requirement("t = (0 - 8) ^ (1 / 3)\nt > 0")
+        assert "REQ008" in [d.code for d in compiled.diagnostics]
+        assert not compiled.parse_failed
 
     def test_string_attribute_equality_is_clean(self):
         # §6 extension: bare identifiers read as string literals
@@ -263,8 +293,79 @@ class TestEvaluatorSpans:
                      {"host_cpu_free": 0.9})
         assert "line 2" in r.errors[0]
 
+    def test_complex_power_is_an_eval_error(self):
+        program = compile_requirement("(host_cpu_free - 2) ^ 0.5 > 0").folded
+        r = evaluate(program, {"host_cpu_free": 0.5})
+        assert not r.qualified
+        assert r.logical_results == [(1, False)]
+        assert r.errors == ["power: negative base raised to a fractional "
+                            "power at line 1, col 21"]
+        # a base the power can take stays a plain number
+        assert evaluate(program, {"host_cpu_free": 3.0}).qualified
+
     def test_string_arithmetic_points_at_operand(self):
         r = evaluate(parse("host_cpu_free + 1.2.3.4 > 1"),
                      {"host_cpu_free": 0.9})
         # the address literal starts at column 17
         assert "col 17" in r.errors[0]
+
+
+class TestDidYouMeanMemo:
+    """``_close_match`` is memoized; the memo must answer exactly as an
+    uncached ``difflib`` call would, and stay within its cap."""
+
+    @staticmethod
+    def one_edit_variants(name):
+        for i in range(len(name)):
+            yield name[:i] + name[i + 1:]            # deletion
+            yield name[:i] + "q" + name[i + 1:]      # substitution
+            if i + 1 < len(name):                    # transposition
+                yield name[:i] + name[i + 1] + name[i] + name[i + 2:]
+
+    def test_memo_matches_uncached_difflib(self):
+        for registry in (_VAR_REGISTRY, _FUNC_REGISTRY):
+            candidates = sorted(registry)
+            for name in candidates:
+                for variant in self.one_edit_variants(name):
+                    hits = difflib.get_close_matches(
+                        variant, candidates, n=1, cutoff=0.8)
+                    expected = hits[0] if hits else None
+                    assert _close_match(variant, registry) == expected
+                    assert _close_match(variant, registry) == expected
+
+    def test_known_misspellings(self):
+        assert _close_match("sqr", _FUNC_REGISTRY) == "sqrt"
+        assert _close_match("host_cpu_fre", _VAR_REGISTRY) == "host_cpu_free"
+        assert _close_match("telesto", _VAR_REGISTRY) is None
+
+    def test_flood_of_unknown_names_stays_within_cap(self):
+        _close_match.cache_clear()
+        for i in range(10 * _CLOSE_MATCH_CAP):
+            _close_match(f"ghost{i}", _VAR_REGISTRY)
+        info = _close_match.cache_info()
+        assert info.maxsize == _CLOSE_MATCH_CAP
+        assert info.currsize == _CLOSE_MATCH_CAP
+        # still answers correctly once the memo has cycled
+        assert _close_match("host_cpu_fre", _VAR_REGISTRY) == "host_cpu_free"
+
+
+class TestDeepNesting:
+    """Nesting past the interpreter's recursion limit is the language's own
+    failure, never a RecursionError."""
+
+    def test_deep_parentheses_fail_to_compile(self):
+        text = "(" * 5000 + "host_cpu_free" + ")" * 5000 + " > 0"
+        compiled = compile_requirement(text)
+        assert compiled.parse_failed and compiled.folded.statements == []
+
+    def test_long_chain_fails_to_compile(self):
+        compiled = compile_requirement("x = " + " + ".join(["1"] * 5000))
+        assert compiled.parse_failed
+
+    def test_deep_program_is_an_eval_error(self):
+        node = Num(1.0)
+        for _ in range(5000):
+            node = BinOp("+", node, Num(1.0))
+        program = Program(statements=[Compare(">", node, Num(0.0))])
+        with pytest.raises(EvalError, match="nested too deeply"):
+            evaluate(program, {})

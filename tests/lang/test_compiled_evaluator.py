@@ -89,10 +89,18 @@ def _eval(node: Node, env: Environment) -> Value:
             return left / right
         if node.op == "^":
             try:
-                return float(left ** right)
+                power = left ** right
             except (OverflowError, ZeroDivisionError, ValueError) as exc:
                 raise EvalError(f"power: {exc}", line=node.line,
                                 col=node.col) from exc
+            if isinstance(power, complex):
+                # a negative base to a fractional power: the one change
+                # made to the walker since it was retired, so that both
+                # report it as the language's own fault
+                raise EvalError("power: negative base raised to a "
+                                "fractional power", line=node.line,
+                                col=node.col)
+            return float(power)
         raise EvalError(f"unknown operator {node.op!r}",
                         line=node.line, col=node.col)
     if isinstance(node, Compare):
@@ -219,8 +227,8 @@ def outcome(run, program, params, presets=None):
     """Everything a caller can observe, as a comparable value.
 
     ``repr`` of the assigned variables tells -0.0 from 0.0 and lets NaN
-    equal NaN; a fault outside the language's own errors (a complex power
-    result) is compared by type and message.
+    equal NaN; a fault outside the language's own errors, which neither
+    evaluator should raise, is compared by type and message.
     """
     try:
         result = run(program, params, presets)

@@ -62,6 +62,17 @@ class TestErrors:
         assert not result.qualified
         assert result.errors
 
+    def test_complex_power_records_error_and_fails(self):
+        result = ev("t = 0 - 2\nt ^ 0.5 > 0")
+        assert not result.qualified
+        assert result.errors == ["power: negative base raised to a "
+                                 "fractional power at line 2, col 3"]
+
+    def test_complex_power_in_assignment_records_error(self):
+        result = ev("t = (0 - 8) ^ (1 / 3)")
+        assert result.qualified  # no logical statements
+        assert len(result.errors) == 1 and "power:" in result.errors[0]
+
     def test_unknown_function_recorded(self):
         result = ev("frobnicate(3) > 1")
         assert not result.qualified
